@@ -1,5 +1,7 @@
 #include "common/thread_pool.hpp"
 
+#include <pthread.h>
+
 #include <algorithm>
 #include <atomic>
 
@@ -7,7 +9,15 @@
 
 namespace gpuperf {
 
-ThreadPool::ThreadPool(std::size_t n_threads) {
+ThreadPool::ThreadPool(std::size_t n_threads)
+    : fork_generation_(s_fork_generation_.load(std::memory_order_relaxed)) {
+  // One child handler for every pool in the process, registered by the
+  // first pool built (a process that never built one has nothing to
+  // mark stale).
+  static const int atfork_rc = ::pthread_atfork(nullptr, nullptr, [] {
+    s_fork_generation_.fetch_add(1, std::memory_order_relaxed);
+  });
+  GP_CHECK_MSG(atfork_rc == 0, "pthread_atfork failed");
   if (n_threads == 0)
     n_threads = std::max<std::size_t>(1, std::thread::hardware_concurrency());
   workers_.reserve(n_threads);

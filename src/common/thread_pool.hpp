@@ -6,10 +6,19 @@
 // (whole trees, whole model profiles) queue contention is irrelevant,
 // so the simple design wins per the Core Guidelines (CP: keep
 // concurrency structured and boring).
+//
+// Fork rule: a child made by fork() without exec inherits every pool
+// object but none of its worker threads.  A pthread_atfork child
+// handler bumps a process-wide fork generation; a pool built in an
+// earlier generation reports size() == 1 and its parallel_for runs
+// every index on the calling thread, so code that forks (the DCA
+// sandbox) never queues work that no thread will run.
 #pragma once
 
+#include <atomic>
 #include <condition_variable>
 #include <cstddef>
+#include <cstdint>
 #include <deque>
 #include <functional>
 #include <future>
@@ -31,7 +40,15 @@ class ThreadPool {
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  std::size_t size() const { return workers_.size(); }
+  /// Worker count, or 1 for a pool inherited across fork() (see the
+  /// fork rule above).  One relaxed atomic load, no syscall: this sits
+  /// on the per-model DCA path.
+  std::size_t size() const {
+    return fork_generation_ ==
+                   s_fork_generation_.load(std::memory_order_relaxed)
+               ? workers_.size()
+               : 1;
+  }
 
   /// Enqueue a task; returns immediately.
   void submit(std::function<void()> task);
@@ -65,7 +82,11 @@ class ThreadPool {
   /// per-invocation (not pool-global), so concurrent parallel_for calls
   /// on a shared pool never observe each other's failures; a nested
   /// call from inside one of this pool's own workers runs inline
-  /// instead of deadlocking on its own queue.
+  /// instead of deadlocking on its own queue.  In a forked child an
+  /// inherited pool runs every fn(i) inline on the calling thread.
+  /// submit, submit_task, wait and the destructor are not supported on
+  /// an inherited pool: they would wait on threads the child does not
+  /// have (forked children leave by _exit).
   void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn);
 
   /// Process-wide shared pool (lazily created).
@@ -86,6 +107,11 @@ class ThreadPool {
   std::size_t in_flight_ = 0;
   bool stop_ = false;
   std::exception_ptr first_error_;
+
+  /// Bumped in every forked child by a pthread_atfork handler.
+  inline static std::atomic<std::uint64_t> s_fork_generation_{0};
+  /// The generation this pool's workers were started in.
+  std::uint64_t fork_generation_;
 };
 
 }  // namespace gpuperf

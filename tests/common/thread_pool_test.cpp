@@ -1,8 +1,11 @@
 #include "common/thread_pool.hpp"
 
 #include <gtest/gtest.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include <atomic>
+#include <csignal>
 #include <chrono>
 #include <future>
 #include <numeric>
@@ -11,6 +14,7 @@
 #include <vector>
 
 #include "common/check.hpp"
+#include "common/subprocess.hpp"
 
 namespace gpuperf {
 namespace {
@@ -183,6 +187,36 @@ TEST(ThreadPool, QueueDepthReflectsBacklog) {
   release.set_value();
   pool.wait();
   EXPECT_EQ(pool.queue_depth(), 0u);
+}
+
+// A child forked without exec inherits the pool object but none of its
+// threads; parallel_for there must run inline instead of queueing
+// shards nobody will pick up.
+TEST(ThreadPool, ParallelForRunsInlineInForkedChild) {
+  ThreadPool pool(2);
+  std::atomic<int> warm{0};
+  pool.parallel_for(8, [&](std::size_t) { ++warm; });  // threads are live
+  ASSERT_EQ(warm.load(), 8);
+
+  const pid_t pid = ::fork();
+  ASSERT_GE(pid, 0) << "fork failed";
+  if (pid == 0) {
+    std::vector<std::atomic<int>> hits(16);
+    pool.parallel_for(hits.size(), [&](std::size_t i) { ++hits[i]; });
+    for (const auto& h : hits)
+      if (h.load() != 1) ::_exit(1);
+    ::_exit(pool.size() == 1 ? 0 : 2);
+  }
+
+  int status = 0;
+  if (!wait_exit(pid, &status, 10000)) {
+    ::kill(pid, SIGKILL);
+    waitpid_retry(pid, &status, 0);
+    FAIL() << "forked child hung in parallel_for on an inherited pool";
+  }
+  EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0)
+      << describe_wait_status(status);
+  EXPECT_EQ(pool.size(), 2u);  // the parent's pool is untouched
 }
 
 }  // namespace
