@@ -29,9 +29,11 @@ struct LaunchStats {
   std::int64_t flops = 0;
 };
 
+/// A model lowered to launches.  Each launch names a kernel of
+/// CodeGenerator::parsed_kernel_library(), the one process-wide copy
+/// of the library that every analysis resolves launches against.
 struct CompiledModel {
   std::string model_name;
-  PtxModule module;  // the kernel library actually referenced
   std::vector<KernelLaunch> launches;
   std::vector<LaunchStats> stats;    // parallel to launches
   /// Name of the model layer each launch implements (parallel to
@@ -55,9 +57,10 @@ class CodeGenerator {
   /// for that).
   static const PtxModule& parsed_kernel_library();
 
-  /// Lower a model to launches over the kernel library.  `batch` > 1
-  /// scales every activation-sized index space (weights stay shared),
-  /// modeling batched inference.
+  /// Lower a model to launches naming kernels of
+  /// parsed_kernel_library().  `batch` > 1 scales every
+  /// activation-sized index space (weights stay shared), modeling
+  /// batched inference.
   CompiledModel compile(const cnn::Model& model,
                         std::int64_t batch = 1) const;
 };

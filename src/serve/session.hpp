@@ -26,6 +26,7 @@
 #include <vector>
 
 #include "cnn/static_analyzer.hpp"
+#include "common/sharded_cache.hpp"
 #include "common/thread_pool.hpp"
 #include "core/estimator.hpp"
 #include "dse/sweep.hpp"
@@ -33,7 +34,6 @@
 #include "registry/feature_store.hpp"
 #include "registry/registry.hpp"
 #include "serve/batcher.hpp"
-#include "serve/cache.hpp"
 #include "serve/metrics.hpp"
 #include "serve/protocol.hpp"
 

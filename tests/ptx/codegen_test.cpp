@@ -82,6 +82,30 @@ TEST(Codegen, LaunchArgumentsMatchKernelParams) {
   }
 }
 
+// The parsed library is the only copy the counter resolves launches
+// against, so every launch of every zoo model must name one of its
+// kernels and bind exactly that kernel's params.
+TEST(Codegen, EveryZooLaunchResolvesInParsedLibrary) {
+  const PtxModule& lib = CodeGenerator::parsed_kernel_library();
+  const CodeGenerator codegen;
+  for (const auto* zoo : {&cnn::zoo::all_models(),
+                          &cnn::zoo::extended_models()}) {
+    for (const auto& entry : *zoo) {
+      const CompiledModel compiled = codegen.compile(entry.build());
+      ASSERT_FALSE(compiled.launches.empty()) << entry.name;
+      for (const auto& launch : compiled.launches) {
+        const PtxKernel* kernel = lib.find_kernel(launch.kernel);
+        ASSERT_NE(kernel, nullptr) << entry.name << ": " << launch.kernel;
+        std::set<std::string> params;
+        for (const auto& param : kernel->params) params.insert(param.name);
+        std::set<std::string> args;
+        for (const auto& [name, value] : launch.args) args.insert(name);
+        EXPECT_EQ(args, params) << entry.name << ": " << launch.kernel;
+      }
+    }
+  }
+}
+
 TEST(Codegen, GroupedConvEmitsPerGroupGemm) {
   cnn::Model m("grouped");
   const cnn::NodeId input = m.add_input(8, 8, 4);

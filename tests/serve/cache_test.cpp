@@ -1,4 +1,4 @@
-#include "serve/cache.hpp"
+#include "common/sharded_cache.hpp"
 
 #include <gtest/gtest.h>
 
